@@ -714,31 +714,41 @@ fn exp_abl_match() {
 /// Enumerate every match of `c`'s pattern exactly as the engine's hot
 /// loop does — homomorphism semantics, the constraint's constant premise
 /// literals installed as candidate pre-filters, one reusable
-/// [`MatchScratch`](ged_pattern::MatchScratch) — with the CSR
-/// label-partitioned adjacency view switched by `labeled`. Returns the
-/// match count; attempts and pre-filter rejects land in `recorder`.
+/// [`MatchScratch`](ged_pattern::MatchScratch) — with the pre-filters
+/// switched by `prefilter`. Without them the constant premises are
+/// checked on each complete match instead, so both settings count the
+/// same matches. Returns the match count; attempts and pre-filter
+/// rejects land in `recorder`.
 fn count_engine_matches<C: ged_core::constraint::Constraint, R: ged_pattern::MatchRecorder>(
     g: &ged_graph::Graph,
     c: &C,
-    labeled: bool,
+    prefilter: bool,
     recorder: &R,
 ) -> usize {
     let opts = ged_pattern::MatchOptions {
-        labeled_adjacency: labeled,
+        prefilter,
         ..ged_pattern::MatchOptions::homomorphism()
     };
     let mut matcher = ged_pattern::Matcher::with_recorder(c.pattern(), g, opts, recorder);
+    let mut consts = Vec::new();
     if let Some(view) = c.literal_view() {
         for lit in &view.premises {
             if let Literal::Const { var, attr, value } = lit {
                 matcher.require_attr(*var, *attr, value.clone());
+                consts.push((*var, *attr, value.clone()));
             }
         }
     }
     let mut scratch = ged_pattern::MatchScratch::new();
     let mut n = 0usize;
-    matcher.for_each_in(&mut scratch, |_| {
-        n += 1;
+    matcher.for_each_in(&mut scratch, |m| {
+        if prefilter
+            || consts
+                .iter()
+                .all(|(v, a, val)| g.attr(m[v.idx()], *a) == Some(val))
+        {
+            n += 1;
+        }
         std::ops::ControlFlow::Continue(())
     });
     n
@@ -746,10 +756,10 @@ fn count_engine_matches<C: ged_core::constraint::Constraint, R: ged_pattern::Mat
 
 /// One EXP-MATCH row: instrument a full enumeration for candidate
 /// attempts / pre-filter rejects, then time the same enumeration with the
-/// CSR label-partitioned view on and off. The row lands in
-/// `BENCH_INC.json` with class `match`; there `delta_size` is the
-/// candidate-attempt count, `incremental_us` the CSR-view enumeration
-/// time, `full_us` the flat-adjacency one, and `speedup` their ratio.
+/// pre-filters on and off. The row lands in `BENCH_INC.json` with class
+/// `match`; there `delta_size` is the candidate-attempt count,
+/// `incremental_us` the pre-filtered enumeration time, `full_us` the
+/// unfiltered one, and `speedup` their ratio.
 fn run_match_row<C: ged_core::constraint::Constraint>(
     name: &'static str,
     g: &ged_graph::Graph,
@@ -759,23 +769,23 @@ fn run_match_row<C: ged_core::constraint::Constraint>(
     let matches = count_engine_matches(g, c, true, &rec);
     let attempts = rec.attempts();
     let rejects = rec.prefilter_rejects();
-    let (n_csr, d_csr) = timed_median(3, || {
+    let (n_on, d_on) = timed_median(3, || {
         count_engine_matches(g, c, true, &ged_pattern::NoopRecorder)
     });
-    let (n_flat, d_flat) = timed_median(3, || {
+    let (n_off, d_off) = timed_median(3, || {
         count_engine_matches(g, c, false, &ged_pattern::NoopRecorder)
     });
-    assert_eq!(n_csr, matches, "instrumentation changes no outcome");
+    assert_eq!(n_on, matches, "instrumentation changes no outcome");
     assert_eq!(
-        n_csr, n_flat,
-        "the CSR view enumerates the same matches on {name}"
+        n_on, n_off,
+        "the pre-filters enumerate the same matches on {name}"
     );
     let reject_pct = if attempts == 0 {
         0.0
     } else {
         100.0 * rejects as f64 / attempts as f64
     };
-    let ratio = d_flat.as_secs_f64() / d_csr.as_secs_f64().max(1e-12);
+    let ratio = d_off.as_secs_f64() / d_on.as_secs_f64().max(1e-12);
     println!(
         "{:<12} {:>9} {:>8} ({:>4.1}%) {:>8} | {:>10} {:>10} | {:>7.2}x",
         name,
@@ -783,16 +793,16 @@ fn run_match_row<C: ged_core::constraint::Constraint>(
         rejects,
         reject_pct,
         matches,
-        us(d_csr),
-        us(d_flat),
+        us(d_on),
+        us(d_off),
         ratio
     );
     INC_ROWS.lock().unwrap().push(IncRow {
         class: "match",
         workload: name,
         delta_size: attempts as usize,
-        incremental_us: d_csr.as_secs_f64() * 1e6,
-        full_us: d_flat.as_secs_f64() * 1e6,
+        incremental_us: d_on.as_secs_f64() * 1e6,
+        full_us: d_off.as_secs_f64() * 1e6,
         speedup: ratio,
     });
 }
@@ -800,18 +810,17 @@ fn run_match_row<C: ged_core::constraint::Constraint>(
 /// EXP-MATCH — raw match-loop mechanics on the workload patterns,
 /// engine-configured (homomorphism, constant-premise pre-filters, scratch
 /// reuse): per workload the candidate-attempt count, the pre-filter
-/// reject rate, and the enumeration wall-clock with the CSR
-/// label-partitioned adjacency view on vs off. Same match counts both
-/// ways is asserted, so the section doubles as an equivalence check on
-/// real workload patterns.
+/// reject rate, and the enumeration wall-clock with the pre-filters on
+/// vs off. Same match counts both ways is asserted, so the section
+/// doubles as an equivalence check on real workload patterns.
 fn exp_match() {
     header(
         "EXP-MATCH",
-        "match-loop mechanics: candidates, pre-filter rejects, CSR view on/off",
+        "match-loop mechanics: candidates, pre-filter rejects, pre-filter on/off",
     );
     println!(
         "{:<12} {:>9} {:>16} {:>8} | {:>10} {:>10} | {:>8}",
-        "workload", "attempts", "rejects (rate)", "matches", "csr µs", "flat µs", "flat/csr"
+        "workload", "attempts", "rejects (rate)", "matches", "on µs", "off µs", "off/on"
     );
 
     let scfg = SocialConfig {

@@ -9,20 +9,21 @@
 //!   attribute `id` is the node identity itself and is *not* stored in the
 //!   attribute map (it is the [`NodeId`]).
 //!
-//! The structure is index-heavy because the homomorphism matcher and the
-//! chase interrogate it constantly: out/in adjacency lists, an exact edge
-//! set for O(1) `has_edge`, a label index for candidate generation, and —
-//! for the matcher's hot loop — a **label-partitioned adjacency view**
-//! ([`Graph::out_edges_labeled`] / [`Graph::in_edges_labeled`]): per node
-//! and direction, one CSR-style array of neighbour ids grouped by edge
-//! label plus a `(label → range)` offset index, so candidate generation
-//! for a concrete edge label iterates exactly the right-label neighbours
-//! instead of filtering the flat edge list.
+//! Each edge is stored once per direction, in a **label-partitioned
+//! adjacency** per node: one id-sorted neighbour array grouped by edge
+//! label plus a sorted `(label, start)` index (CSR-style). That one
+//! structure answers everything GED validation asks of `E`: the
+//! neighbours under one label ([`Graph::out_edges_labeled`], a sorted
+//! slice the matcher uses as its candidate list as is), the neighbours
+//! under any label (a walk over the groups, [`Graph::out_edges`]), and
+//! edge existence (a binary search in the label's group,
+//! [`Graph::has_edge`]). A label index over nodes serves candidate
+//! generation for unanchored pattern variables.
 
 use crate::symbol::Symbol;
 use crate::value::Value;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Range;
 
@@ -78,17 +79,20 @@ struct LabeledAdj {
 }
 
 impl LabeledAdj {
+    /// The `nbrs` range of the group at index entry `i`.
+    fn group_range(&self, i: usize) -> Range<usize> {
+        let start = self.index[i].1 as usize;
+        let end = self
+            .index
+            .get(i + 1)
+            .map_or(self.nbrs.len(), |&(_, o)| o as usize);
+        start..end
+    }
+
     /// The `nbrs` range holding label `l`'s group (empty if absent).
     fn range(&self, l: Symbol) -> Range<usize> {
         match self.index.binary_search_by_key(&l, |&(s, _)| s) {
-            Ok(i) => {
-                let start = self.index[i].1 as usize;
-                let end = self
-                    .index
-                    .get(i + 1)
-                    .map_or(self.nbrs.len(), |&(_, o)| o as usize);
-                start..end
-            }
+            Ok(i) => self.group_range(i),
             Err(_) => 0..0,
         }
     }
@@ -98,19 +102,25 @@ impl LabeledAdj {
         &self.nbrs[self.range(l)]
     }
 
+    /// Every `(label, neighbour)` pair, label-major and id-sorted within
+    /// a label.
+    fn iter(&self) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
+        (0..self.index.len()).flat_map(move |i| {
+            let l = self.index[i].0;
+            self.nbrs[self.group_range(i)].iter().map(move |&n| (l, n))
+        })
+    }
+
     /// Insert neighbour `n` under label `l`, keeping groups label-major
-    /// and id-sorted. The caller (the edge-set guard in [`Graph`])
-    /// guarantees `(l, n)` is not already present.
-    fn insert(&mut self, l: Symbol, n: NodeId) {
-        match self.index.binary_search_by_key(&l, |&(s, _)| s) {
+    /// and id-sorted. Returns `false` (and changes nothing) if `(l, n)`
+    /// is already present.
+    fn insert(&mut self, l: Symbol, n: NodeId) -> bool {
+        let (i, pos) = match self.index.binary_search_by_key(&l, |&(s, _)| s) {
             Ok(i) => {
-                let Range { start, end } = self.range(l);
-                let pos = start + self.nbrs[start..end].partition_point(|&m| m < n);
-                // `pos == end` lands on the next label's group, not a dup.
-                debug_assert!(pos >= end || self.nbrs[pos] != n, "edge already present");
-                self.nbrs.insert(pos, n);
-                for e in &mut self.index[i + 1..] {
-                    e.1 += 1;
+                let Range { start, end } = self.group_range(i);
+                match self.nbrs[start..end].binary_search(&n) {
+                    Ok(_) => return false,
+                    Err(off) => (i, start + off),
                 }
             }
             Err(i) => {
@@ -118,13 +128,15 @@ impl LabeledAdj {
                     .index
                     .get(i)
                     .map_or(self.nbrs.len(), |&(_, o)| o as usize);
-                self.nbrs.insert(start, n);
                 self.index.insert(i, (l, start as u32));
-                for e in &mut self.index[i + 1..] {
-                    e.1 += 1;
-                }
+                (i, start)
             }
+        };
+        self.nbrs.insert(pos, n);
+        for e in &mut self.index[i + 1..] {
+            e.1 += 1;
         }
+        true
     }
 
     /// Remove neighbour `n` from label `l`'s group (no-op if absent);
@@ -134,7 +146,7 @@ impl LabeledAdj {
         let Ok(i) = self.index.binary_search_by_key(&l, |&(s, _)| s) else {
             return;
         };
-        let Range { start, end } = self.range(l);
+        let Range { start, end } = self.group_range(i);
         let Ok(off) = self.nbrs[start..end].binary_search(&n) else {
             return;
         };
@@ -160,11 +172,11 @@ pub struct Graph {
     nodes: Vec<NodeData>,
     alive: Vec<bool>,
     n_live: usize,
-    out: Vec<Vec<(Symbol, NodeId)>>,
-    inn: Vec<Vec<(Symbol, NodeId)>>,
-    out_lab: Vec<LabeledAdj>,
-    inn_lab: Vec<LabeledAdj>,
-    edge_set: HashSet<(NodeId, Symbol, NodeId)>,
+    n_edges: usize,
+    /// Per node: `(label, dst)` of its out-edges.
+    out: Vec<LabeledAdj>,
+    /// Per node: `(label, src)` of its in-edges.
+    inn: Vec<LabeledAdj>,
     label_index: HashMap<Symbol, Vec<NodeId>>,
 }
 
@@ -184,10 +196,8 @@ impl Graph {
         });
         self.alive.push(true);
         self.n_live += 1;
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
-        self.out_lab.push(LabeledAdj::default());
-        self.inn_lab.push(LabeledAdj::default());
+        self.out.push(LabeledAdj::default());
+        self.inn.push(LabeledAdj::default());
         self.label_index.entry(label).or_default().push(id);
         id
     }
@@ -197,25 +207,22 @@ impl Graph {
     pub fn add_edge(&mut self, src: NodeId, label: Symbol, dst: NodeId) -> bool {
         assert!(self.is_alive(src), "edge src out of range or removed");
         assert!(self.is_alive(dst), "edge dst out of range or removed");
-        if !self.edge_set.insert((src, label, dst)) {
+        if !self.out[src.idx()].insert(label, dst) {
             return false;
         }
-        self.out[src.idx()].push((label, dst));
-        self.inn[dst.idx()].push((label, src));
-        self.out_lab[src.idx()].insert(label, dst);
-        self.inn_lab[dst.idx()].insert(label, src);
+        self.inn[dst.idx()].insert(label, src);
+        self.n_edges += 1;
         true
     }
 
     /// Remove edge `(src, label, dst)`. Returns `false` if it was absent.
     pub fn remove_edge(&mut self, src: NodeId, label: Symbol, dst: NodeId) -> bool {
-        if !self.edge_set.remove(&(src, label, dst)) {
+        if !self.has_edge(src, label, dst) {
             return false;
         }
-        self.out[src.idx()].retain(|&(l, d)| !(l == label && d == dst));
-        self.inn[dst.idx()].retain(|&(l, s)| !(l == label && s == src));
-        self.out_lab[src.idx()].remove(label, dst);
-        self.inn_lab[dst.idx()].remove(label, src);
+        self.out[src.idx()].remove(label, dst);
+        self.inn[dst.idx()].remove(label, src);
+        self.n_edges -= 1;
         true
     }
 
@@ -227,24 +234,18 @@ impl Graph {
         if !self.is_alive(n) {
             return false;
         }
+        // A self-loop sits in both of `n`'s own lists; it is counted (and
+        // needs no mirror update) on the out side only.
         let outs = std::mem::take(&mut self.out[n.idx()]);
-        for (label, dst) in outs {
-            self.edge_set.remove(&(n, label, dst));
-            if dst != n {
-                self.inn[dst.idx()].retain(|&(l, s)| !(l == label && s == n));
-                self.inn_lab[dst.idx()].remove(label, n);
-            }
+        for (label, dst) in outs.iter().filter(|&(_, d)| d != n) {
+            self.inn[dst.idx()].remove(label, n);
         }
+        self.n_edges -= outs.nbrs.len();
         let inns = std::mem::take(&mut self.inn[n.idx()]);
-        for (label, src) in inns {
-            if src != n {
-                self.edge_set.remove(&(src, label, n));
-                self.out[src.idx()].retain(|&(l, d)| !(l == label && d == n));
-                self.out_lab[src.idx()].remove(label, n);
-            }
+        for (label, src) in inns.iter().filter(|&(_, s)| s != n) {
+            self.out[src.idx()].remove(label, n);
+            self.n_edges -= 1;
         }
-        self.out_lab[n.idx()] = LabeledAdj::default();
-        self.inn_lab[n.idx()] = LabeledAdj::default();
         let label = self.nodes[n.idx()].label;
         let label_emptied = match self.label_index.get_mut(&label) {
             Some(ix) => {
@@ -302,14 +303,14 @@ impl Graph {
 
     /// Number of edges `|E|`.
     pub fn edge_count(&self) -> usize {
-        self.edge_set.len()
+        self.n_edges
     }
 
     /// The paper's size measure `|G| = |V| + |E|` (plus attributes), used in
     /// the Theorem 1 chase bounds. We count attributes too, conservatively.
     /// Removed nodes carry no attributes, so the sum skips them naturally.
     pub fn size(&self) -> usize {
-        self.n_live + self.edge_set.len() + self.nodes.iter().map(|n| n.attrs.len()).sum::<usize>()
+        self.n_live + self.n_edges + self.nodes.iter().map(|n| n.attrs.len()).sum::<usize>()
     }
 
     /// Label `L(n)`.
@@ -334,10 +335,11 @@ impl Graph {
             .filter(move |n| self.alive[n.idx()])
     }
 
-    /// Iterate over all edges.
+    /// Iterate over all edges: sources in id order, each source's edges in
+    /// `(label, dst)` order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.out.iter().enumerate().flat_map(|(s, outs)| {
-            outs.iter().map(move |&(label, dst)| Edge {
+            outs.iter().map(move |(label, dst)| Edge {
                 src: NodeId(s as u32),
                 label,
                 dst,
@@ -345,58 +347,60 @@ impl Graph {
         })
     }
 
-    /// Outgoing `(label, dst)` pairs of `n`.
-    pub fn out_edges(&self, n: NodeId) -> &[(Symbol, NodeId)] {
-        &self.out[n.idx()]
+    /// Outgoing `(label, dst)` pairs of `n`, in `(label, dst)` order.
+    pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
+        self.out[n.idx()].iter()
     }
 
-    /// Incoming `(label, src)` pairs of `n`.
-    pub fn in_edges(&self, n: NodeId) -> &[(Symbol, NodeId)] {
-        &self.inn[n.idx()]
+    /// Incoming `(label, src)` pairs of `n`, in `(label, src)` order.
+    pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
+        self.inn[n.idx()].iter()
     }
 
     /// Out-degree of `n`.
     pub fn out_degree(&self, n: NodeId) -> usize {
-        self.out[n.idx()].len()
+        self.out[n.idx()].nbrs.len()
     }
 
     /// In-degree of `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
-        self.inn[n.idx()].len()
+        self.inn[n.idx()].nbrs.len()
     }
 
     /// The nodes `d` with an edge `(n, label, d)`, for one concrete edge
-    /// label: the label-partitioned adjacency view. The slice is sorted by
-    /// id and duplicate-free (E is a set), so it is directly usable as a
-    /// matcher candidate list — no filtering, sorting, or dedup. `label`
-    /// must not be the wildcard (a wildcard edge spans *all* groups; use
-    /// [`Graph::out_edges`] and filter).
+    /// label. The slice is sorted by id and duplicate-free (E is a set),
+    /// so it is directly usable as a matcher candidate list — no
+    /// filtering, sorting, or dedup. `label` must not be the wildcard (a
+    /// wildcard edge spans *all* groups; use [`Graph::out_edges`]).
     pub fn out_edges_labeled(&self, n: NodeId, label: Symbol) -> &[NodeId] {
         debug_assert!(!label.is_wildcard(), "wildcard spans all label groups");
-        self.out_lab[n.idx()].group(label)
+        self.out[n.idx()].group(label)
     }
 
     /// The nodes `s` with an edge `(s, label, n)` — the incoming
     /// counterpart of [`Graph::out_edges_labeled`]; sorted, duplicate-free.
     pub fn in_edges_labeled(&self, n: NodeId, label: Symbol) -> &[NodeId] {
         debug_assert!(!label.is_wildcard(), "wildcard spans all label groups");
-        self.inn_lab[n.idx()].group(label)
+        self.inn[n.idx()].group(label)
     }
 
     /// Number of out-edges of `n` with exactly `label` — O(log #labels),
     /// the degree pre-filter's lookup.
     pub fn out_degree_labeled(&self, n: NodeId, label: Symbol) -> usize {
-        self.out_lab[n.idx()].range(label).len()
+        self.out[n.idx()].range(label).len()
     }
 
     /// Number of in-edges of `n` with exactly `label`.
     pub fn in_degree_labeled(&self, n: NodeId, label: Symbol) -> usize {
-        self.inn_lab[n.idx()].range(label).len()
+        self.inn[n.idx()].range(label).len()
     }
 
-    /// Exact edge membership test.
+    /// Exact edge membership test: a binary search in `src`'s `label`
+    /// group. `false` for out-of-range or removed endpoints.
     pub fn has_edge(&self, src: NodeId, label: Symbol, dst: NodeId) -> bool {
-        self.edge_set.contains(&(src, label, dst))
+        self.out
+            .get(src.idx())
+            .is_some_and(|outs| outs.group(label).binary_search(&dst).is_ok())
     }
 
     /// Edge membership under pattern-label matching `ι ⪯ ι′`: is there an
@@ -406,7 +410,9 @@ impl Graph {
         if !pat_label.is_wildcard() {
             return self.has_edge(src, pat_label, dst);
         }
-        self.out[src.idx()].iter().any(|&(_, d)| d == dst)
+        self.out
+            .get(src.idx())
+            .is_some_and(|outs| outs.nbrs.contains(&dst))
     }
 
     /// Nodes whose label *equals* `label` exactly.
@@ -575,6 +581,7 @@ impl fmt::Display for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Model;
 
     fn sym(s: &str) -> Symbol {
         Symbol::new(s)
@@ -859,83 +866,67 @@ mod tests {
         g.add_edge(a, sym("e"), b);
     }
 
-    /// Cross-check the label-partitioned view against the flat adjacency
-    /// lists on every node and direction: same multiset of neighbours per
-    /// label, groups sorted and duplicate-free.
-    fn assert_labeled_view_consistent(g: &Graph) {
-        fn check(n: NodeId, flat: &[(Symbol, NodeId)], labeled_of: impl Fn(Symbol) -> Vec<NodeId>) {
-            let mut by_label: BTreeMap<Symbol, Vec<NodeId>> = BTreeMap::new();
-            for &(l, m) in flat {
-                by_label.entry(l).or_default().push(m);
-            }
-            for (l, mut expect) in by_label {
-                expect.sort_unstable();
-                let got = labeled_of(l);
-                assert_eq!(got, expect, "node {n} label {l}");
-                assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
-            }
-        }
-        for n in g.nodes() {
-            check(n, g.out_edges(n), |l| g.out_edges_labeled(n, l).to_vec());
-            check(n, g.in_edges(n), |l| g.in_edges_labeled(n, l).to_vec());
-        }
-    }
-
     #[test]
     fn labeled_view_tracks_adds_removes_and_tombstones() {
         let mut g = Graph::new();
+        let mut m = Model::default();
         let (e, f) = (sym("e"), sym("f"));
-        let n: Vec<NodeId> = (0..5).map(|_| g.add_node(sym("t"))).collect();
-        g.add_edge(n[0], e, n[2]);
-        g.add_edge(n[0], e, n[1]);
-        g.add_edge(n[0], f, n[1]);
-        g.add_edge(n[0], e, n[0]); // self loop
-        g.add_edge(n[3], e, n[0]);
+        let n: Vec<NodeId> = (0..5).map(|_| m.add_node(&mut g, sym("t"))).collect();
+        m.add_edge(&mut g, n[0], e, n[2]);
+        m.add_edge(&mut g, n[0], e, n[1]);
+        m.add_edge(&mut g, n[0], f, n[1]);
+        m.add_edge(&mut g, n[0], e, n[0]); // self loop
+        m.add_edge(&mut g, n[3], e, n[0]);
+        m.add_edge(&mut g, n[3], e, n[0]); // duplicate: refused
         assert_eq!(g.out_edges_labeled(n[0], e), &[n[0], n[1], n[2]]);
         assert_eq!(g.out_edges_labeled(n[0], f), &[n[1]]);
         assert_eq!(g.in_edges_labeled(n[0], e), &[n[0], n[3]]);
         assert_eq!(g.out_degree_labeled(n[0], e), 3);
         assert_eq!(g.in_degree_labeled(n[1], f), 1);
         assert_eq!(g.out_edges_labeled(n[4], e), &[] as &[NodeId]);
-        assert_labeled_view_consistent(&g);
+        m.check(&g);
 
-        assert!(g.remove_edge(n[0], e, n[1]));
+        m.remove_edge(&mut g, n[0], e, n[1]);
         assert_eq!(g.out_edges_labeled(n[0], e), &[n[0], n[2]]);
-        assert_labeled_view_consistent(&g);
+        m.check(&g);
 
         // Tombstoning n[0] clears its own groups and every mirror entry.
-        assert!(g.remove_node(n[0]));
+        m.remove_node(&mut g, n[0]);
         assert_eq!(g.out_edges_labeled(n[3], e), &[] as &[NodeId]);
         assert_eq!(g.in_edges_labeled(n[2], e), &[] as &[NodeId]);
-        assert_labeled_view_consistent(&g);
+        m.check(&g);
 
         // Remove-then-re-add under a fresh id keeps the view exact.
-        let d = g.add_node(sym("t"));
-        g.add_edge(n[3], e, d);
-        g.add_edge(d, f, n[3]);
+        let d = m.add_node(&mut g, sym("t"));
+        m.add_edge(&mut g, n[3], e, d);
+        m.add_edge(&mut g, d, f, n[3]);
         assert_eq!(g.out_edges_labeled(n[3], e), &[d]);
         assert_eq!(g.in_edges_labeled(n[3], f), &[d]);
-        assert_labeled_view_consistent(&g);
+        m.check(&g);
     }
 
     #[test]
     fn labeled_view_survives_compact() {
         let mut g = Graph::new();
+        let mut m = Model::default();
         let (e, f) = (sym("e"), sym("f"));
-        let n: Vec<NodeId> = (0..4).map(|_| g.add_node(sym("t"))).collect();
-        g.add_edge(n[0], e, n[1]);
-        g.add_edge(n[0], f, n[2]);
-        g.add_edge(n[2], e, n[2]);
-        g.remove_node(n[1]);
+        let n: Vec<NodeId> = (0..4).map(|_| m.add_node(&mut g, sym("t"))).collect();
+        m.add_edge(&mut g, n[0], e, n[1]);
+        m.add_edge(&mut g, n[0], f, n[2]);
+        m.add_edge(&mut g, n[2], e, n[2]);
+        m.remove_node(&mut g, n[1]);
         let (dense, map) = g.compact();
-        assert_labeled_view_consistent(&dense);
-        let c2 = map[n[2].idx()].unwrap();
-        assert_eq!(dense.out_edges_labeled(map[n[0].idx()].unwrap(), f), &[c2]);
+        let to = |v: NodeId| map[v.idx()].expect("live node");
+        let dense_model = Model {
+            alive: m.alive.iter().map(|&v| to(v)).collect(),
+            edges: m.edges.iter().map(|&(s, l, d)| (to(s), l, to(d))).collect(),
+            labels: m.labels.clone(),
+        };
+        dense_model.check(&dense);
+        let c2 = to(n[2]);
+        assert_eq!(dense.out_edges_labeled(to(n[0]), f), &[c2]);
         assert_eq!(dense.out_edges_labeled(c2, e), &[c2], "self loop kept");
-        assert_eq!(
-            map[n[3].idx()].map(|m| dense.out_degree_labeled(m, e)),
-            Some(0)
-        );
+        assert_eq!(dense.out_degree_labeled(to(n[3]), e), 0);
     }
 
     #[test]

@@ -42,6 +42,9 @@ impl fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
+/// Why a node attribute named `id` is refused: it is the node identity.
+const ID_ATTR: &str = "attribute `id` is the node identity and cannot be set";
+
 /// Parse the text format into a graph.
 pub fn parse_text(input: &str) -> Result<Graph, IoError> {
     let mut b = GraphBuilder::new();
@@ -69,6 +72,9 @@ pub fn parse_text(input: &str) -> Result<Graph, IoError> {
                         ));
                     };
                     let (a, v) = kv.split_at(eq);
+                    if Symbol::new(a) == Symbol::ID {
+                        return Err(IoError::Parse(lineno, ID_ATTR.into()));
+                    }
                     b.attr(name, a, Value::parse(&v[1..]));
                 }
             }
@@ -282,9 +288,12 @@ pub fn decode(mut buf: Bytes) -> Result<Graph, IoError> {
         }
         let n_attrs = buf.get_u32_le();
         for _ in 0..n_attrs {
-            let a = get_str(&mut buf)?;
+            let a = Symbol::new(&get_str(&mut buf)?);
+            if a == Symbol::ID {
+                return Err(IoError::Binary(ID_ATTR.into()));
+            }
             let v = get_value(&mut buf)?;
-            g.set_attr(id, Symbol::new(&a), v);
+            g.set_attr(id, a, v);
         }
     }
     if buf.remaining() < 4 {
@@ -353,6 +362,38 @@ edge tony create gb
         assert!(matches!(err, IoError::Parse(1, _)));
         let err = parse_text("node a t bad-attr\n").unwrap_err();
         assert!(matches!(err, IoError::Parse(1, _)));
+    }
+
+    #[test]
+    fn text_loader_rejects_an_id_attribute() {
+        let err = parse_text("node a t\nnode b t id=3\n").unwrap_err();
+        assert!(
+            matches!(err, IoError::Parse(2, ref m) if m.contains("`id`")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn binary_decoder_rejects_an_id_attribute() {
+        // Encode a node with attribute `idx`, then rename it to `id` in
+        // place by cutting the `x` and shortening the length prefix.
+        let mut g = Graph::new();
+        let a = g.add_node(Symbol::new("t"));
+        g.set_attr(a, Symbol::new("idx"), 3);
+        let bytes = encode(&g).to_vec();
+        let at = bytes
+            .windows(3)
+            .position(|w| w == b"idx")
+            .expect("attribute name in payload");
+        let mut payload = bytes[..at - 4].to_vec();
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(b"id");
+        payload.extend_from_slice(&bytes[at + 3..]);
+        let err = decode(Bytes::from(payload)).unwrap_err();
+        assert!(
+            matches!(err, IoError::Binary(ref m) if m.contains("`id`")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -45,6 +45,121 @@ pub fn sym(name: &str) -> Symbol {
 }
 
 #[cfg(test)]
+/// Reference model for [`Graph`]'s node and edge sets: `V` as the set of
+/// live ids, `E` as a plain `BTreeSet` of `(src, label, dst)` triples.
+/// Tests drive a graph and the model through the same operations, then
+/// compare every adjacency accessor against the model with
+/// [`Model::check`](model::Model::check).
+pub(crate) mod model {
+    use crate::{Graph, NodeId, Symbol};
+    use std::collections::BTreeSet;
+
+    #[derive(Debug, Default)]
+    pub(crate) struct Model {
+        pub(crate) alive: BTreeSet<NodeId>,
+        pub(crate) edges: BTreeSet<(NodeId, Symbol, NodeId)>,
+        /// Every edge label ever added, so emptied groups are checked too.
+        pub(crate) labels: BTreeSet<Symbol>,
+    }
+
+    impl Model {
+        pub(crate) fn add_node(&mut self, g: &mut Graph, label: Symbol) -> NodeId {
+            let n = g.add_node(label);
+            assert!(self.alive.insert(n), "add_node reused id {n}");
+            n
+        }
+
+        pub(crate) fn add_edge(&mut self, g: &mut Graph, s: NodeId, l: Symbol, d: NodeId) {
+            self.labels.insert(l);
+            let fresh = self.edges.insert((s, l, d));
+            assert_eq!(g.add_edge(s, l, d), fresh, "add_edge({s}, {l}, {d})");
+        }
+
+        pub(crate) fn remove_edge(&mut self, g: &mut Graph, s: NodeId, l: Symbol, d: NodeId) {
+            let present = self.edges.remove(&(s, l, d));
+            assert_eq!(
+                g.remove_edge(s, l, d),
+                present,
+                "remove_edge({s}, {l}, {d})"
+            );
+        }
+
+        pub(crate) fn remove_node(&mut self, g: &mut Graph, n: NodeId) {
+            let live = self.alive.remove(&n);
+            assert_eq!(g.remove_node(n), live, "remove_node({n})");
+            self.edges.retain(|&(s, _, d)| s != n && d != n);
+        }
+
+        /// Assert that `g` has exactly the model's nodes and edges, through
+        /// every accessor: `edges()`, `edge_count`, `has_edge` and wildcard
+        /// `has_edge_matching` on every id pair (dead ids included), the
+        /// wildcard walks `out_edges`/`in_edges`, the degrees, and every
+        /// per-label group. A group equal to the model's is sorted and
+        /// duplicate-free, since the model lists it from an ordered set.
+        pub(crate) fn check(&self, g: &Graph) {
+            assert_eq!(g.nodes().collect::<BTreeSet<_>>(), self.alive, "live nodes");
+            let listed: Vec<_> = g.edges().map(|e| (e.src, e.label, e.dst)).collect();
+            assert_eq!(
+                listed.len(),
+                self.edges.len(),
+                "edges() yields each edge once"
+            );
+            assert_eq!(
+                listed.into_iter().collect::<BTreeSet<_>>(),
+                self.edges,
+                "edges()"
+            );
+            assert_eq!(g.edge_count(), self.edges.len(), "edge_count");
+            let ids: Vec<NodeId> = (0..g.node_id_bound() as u32).map(NodeId).collect();
+            for &s in &ids {
+                for &d in &ids {
+                    let mut any = false;
+                    for &l in &self.labels {
+                        let expect = self.edges.contains(&(s, l, d));
+                        assert_eq!(g.has_edge(s, l, d), expect, "has_edge({s}, {l}, {d})");
+                        any |= expect;
+                    }
+                    assert_eq!(
+                        g.has_edge_matching(s, Symbol::WILDCARD, d),
+                        any,
+                        "has_edge_matching({s}, _, {d})"
+                    );
+                }
+            }
+            for &n in &self.alive {
+                let outs: Vec<(Symbol, NodeId)> = self
+                    .edges
+                    .iter()
+                    .filter(|e| e.0 == n)
+                    .map(|&(_, l, d)| (l, d))
+                    .collect();
+                let mut ins: Vec<(Symbol, NodeId)> = self
+                    .edges
+                    .iter()
+                    .filter(|e| e.2 == n)
+                    .map(|&(s, l, _)| (l, s))
+                    .collect();
+                ins.sort_unstable();
+                assert_eq!(g.out_edges(n).collect::<Vec<_>>(), outs, "out_edges({n})");
+                assert_eq!(g.in_edges(n).collect::<Vec<_>>(), ins, "in_edges({n})");
+                assert_eq!(g.out_degree(n), outs.len(), "out_degree({n})");
+                assert_eq!(g.in_degree(n), ins.len(), "in_degree({n})");
+                for &l in &self.labels {
+                    let group = |pairs: &[(Symbol, NodeId)]| -> Vec<NodeId> {
+                        pairs.iter().filter(|p| p.0 == l).map(|p| p.1).collect()
+                    };
+                    let (out_group, in_group) = (group(&outs), group(&ins));
+                    assert_eq!(g.out_edges_labeled(n, l), out_group, "out group {n} {l}");
+                    assert_eq!(g.in_edges_labeled(n, l), in_group, "in group {n} {l}");
+                    assert_eq!(g.out_degree_labeled(n, l), out_group.len());
+                    assert_eq!(g.in_degree_labeled(n, l), in_group.len());
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -70,7 +185,49 @@ mod proptests {
         })
     }
 
+    /// Strategy: a random mutation script. Each step is `(op, a, label,
+    /// b)`, with `a`/`b` reduced modulo the id bound at replay time, so
+    /// steps hit dead ids, self-loops and earlier edges often.
+    fn arb_ops() -> impl Strategy<Value = Vec<(usize, usize, usize, usize)>> {
+        proptest::collection::vec((0usize..6, 0usize..16, 0usize..2, 0usize..16), 0..60)
+    }
+
     proptest! {
+        /// The label-partitioned adjacency agrees with a `BTreeSet` model
+        /// after every step of a random add/remove sequence, including
+        /// self-loops, removals of absent edges and dead nodes, and
+        /// remove-then-re-add of the same edge.
+        #[test]
+        fn graph_agrees_with_triple_set_model(ops in arb_ops()) {
+            let elabels = [sym("e"), sym("f")];
+            let mut g = Graph::new();
+            let mut m = model::Model::default();
+            for _ in 0..3 {
+                m.add_node(&mut g, sym("a"));
+            }
+            for (op, a, l, b) in ops {
+                let bound = g.node_id_bound();
+                let (a, b, l) = (NodeId((a % bound) as u32), NodeId((b % bound) as u32), elabels[l]);
+                let live = |n: NodeId| m.alive.contains(&n);
+                match op {
+                    0 => {
+                        m.add_node(&mut g, sym("a"));
+                    }
+                    1 if live(a) && live(b) => m.add_edge(&mut g, a, l, b),
+                    2 if live(a) => m.add_edge(&mut g, a, l, a),
+                    3 => m.remove_edge(&mut g, a, l, b),
+                    4 if !m.edges.is_empty() => {
+                        let e = *m.edges.iter().nth(a.idx() % m.edges.len()).unwrap();
+                        m.remove_edge(&mut g, e.0, e.1, e.2);
+                        m.add_edge(&mut g, e.0, e.1, e.2);
+                    }
+                    5 => m.remove_node(&mut g, a),
+                    _ => {}
+                }
+                m.check(&g);
+            }
+        }
+
         #[test]
         fn binary_roundtrip_preserves_graph(g in arb_graph()) {
             let g2 = io::decode(io::encode(&g)).unwrap();

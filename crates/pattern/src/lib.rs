@@ -44,17 +44,36 @@ mod proptests {
     const DATA_LABELS: [&str; 2] = ["a", "b"];
     const DATA_ELABELS: [&str; 2] = ["e", "f"];
 
+    /// A small random graph, then a tail of random edge and node
+    /// removals, so the matcher also runs on emptied label groups and
+    /// tombstoned ids.
     fn arb_graph() -> impl Strategy<Value = Graph> {
         (1usize..6).prop_flat_map(|n| {
             let nls = proptest::collection::vec(0usize..DATA_LABELS.len(), n);
             let es = proptest::collection::vec((0..n, 0usize..DATA_ELABELS.len(), 0..n), 0..n * 2);
-            (nls, es).prop_map(|(nls, es)| {
+            let removals = proptest::collection::vec((0usize..4, 0..n * 2 + 1), 0..4);
+            (nls, es, removals).prop_map(|(nls, es, removals)| {
                 let mut g = Graph::new();
                 for &l in &nls {
                     g.add_node(sym(DATA_LABELS[l]));
                 }
                 for (s, l, d) in es {
                     g.add_edge(NodeId(s as u32), sym(DATA_ELABELS[l]), NodeId(d as u32));
+                }
+                // Mostly edge removals (kind 0-2), some node removals (3);
+                // `i` picks the victim among what is left.
+                for (kind, i) in removals {
+                    if kind < 3 {
+                        let victim = g.edges().nth(i % g.edge_count().max(1));
+                        if let Some(e) = victim {
+                            g.remove_edge(e.src, e.label, e.dst);
+                        }
+                    } else {
+                        let victim = g.nodes().nth(i % g.node_count().max(1));
+                        if let Some(v) = victim {
+                            g.remove_node(v);
+                        }
+                    }
                 }
                 g
             })
@@ -110,19 +129,16 @@ mod proptests {
                 matcher::find_all(&q, &g, MatchOptions::homomorphism()).into_iter().collect();
             for smart in [false, true] {
                 for adj in [false, true] {
-                    for lab in [false, true] {
-                        for pre in [false, true] {
-                            let opts = MatchOptions {
-                                semantics: Semantics::Homomorphism,
-                                smart_order: smart,
-                                adjacency_candidates: adj,
-                                labeled_adjacency: lab,
-                                prefilter: pre,
-                            };
-                            let got: std::collections::HashSet<Match> =
-                                matcher::find_all(&q, &g, opts).into_iter().collect();
-                            prop_assert_eq!(&got, &base);
-                        }
+                    for pre in [false, true] {
+                        let opts = MatchOptions {
+                            semantics: Semantics::Homomorphism,
+                            smart_order: smart,
+                            adjacency_candidates: adj,
+                            prefilter: pre,
+                        };
+                        let got: std::collections::HashSet<Match> =
+                            matcher::find_all(&q, &g, opts).into_iter().collect();
+                        prop_assert_eq!(&got, &base);
                     }
                 }
             }

@@ -43,14 +43,6 @@ pub struct MatchOptions {
     /// Derive candidate sets from already-assigned neighbours instead of
     /// scanning all label candidates.
     pub adjacency_candidates: bool,
-    /// Serve candidate lists for non-wildcard pattern edge labels from the
-    /// graph's label-partitioned adjacency view ([`Graph::out_edges_labeled`])
-    /// instead of filtering the flat edge lists. The labeled groups are
-    /// already sorted and duplicate-free, so this skips the per-extension
-    /// filter *and* the sort/dedup. Candidate lists are byte-identical to
-    /// the filtered path; the flag exists for the lockstep equivalence
-    /// tests and the EXP-MATCH with/without comparison.
-    pub labeled_adjacency: bool,
     /// Reject a candidate before recursing when its labeled in/out degree
     /// cannot cover the pattern variable's edges, or when a required
     /// constant-valued attribute (see [`Matcher::require_attr`]) already
@@ -65,7 +57,6 @@ impl Default for MatchOptions {
             semantics: Semantics::Homomorphism,
             smart_order: true,
             adjacency_candidates: true,
-            labeled_adjacency: true,
             prefilter: true,
         }
     }
@@ -465,57 +456,40 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
         buf.clear();
         let lv = self.pattern.label(v);
         if self.opts.adjacency_candidates {
-            // v required as dst of an assigned src?
-            for &(el, u) in self.pattern.in_edges(v) {
-                if let Some(hu) = assign[u.idx()] {
-                    if self.opts.labeled_adjacency && !el.is_wildcard() {
-                        // The labeled group is sorted and duplicate-free:
-                        // exactly the old filtered+sorted+deduped list.
-                        buf.extend(
-                            self.graph
-                                .out_edges_labeled(hu, el)
-                                .iter()
-                                .copied()
-                                .filter(|&d| lv.matches(self.graph.label(d))),
-                        );
+            // v required as dst of an assigned src, or as src of an
+            // assigned dst?
+            let anchor = self
+                .pattern
+                .in_edges(v)
+                .iter()
+                .find_map(|&(el, u)| Some((el, assign[u.idx()]?, true)))
+                .or_else(|| {
+                    self.pattern
+                        .out_edges(v)
+                        .iter()
+                        .find_map(|&(el, u)| Some((el, assign[u.idx()]?, false)))
+                });
+            if let Some((el, hu, forward)) = anchor {
+                let label_ok = |&n: &NodeId| lv.matches(self.graph.label(n));
+                if el.is_wildcard() {
+                    // Any label: walk every group, then merge them.
+                    if forward {
+                        buf.extend(self.graph.out_edges(hu).map(|(_, n)| n).filter(label_ok));
                     } else {
-                        buf.extend(
-                            self.graph
-                                .out_edges(hu)
-                                .iter()
-                                .filter(|&&(l, d)| el.matches(l) && lv.matches(self.graph.label(d)))
-                                .map(|&(_, d)| d),
-                        );
-                        buf.sort_unstable();
-                        buf.dedup();
+                        buf.extend(self.graph.in_edges(hu).map(|(_, n)| n).filter(label_ok));
                     }
-                    return;
-                }
-            }
-            // v required as src of an assigned dst?
-            for &(el, u) in self.pattern.out_edges(v) {
-                if let Some(hu) = assign[u.idx()] {
-                    if self.opts.labeled_adjacency && !el.is_wildcard() {
-                        buf.extend(
-                            self.graph
-                                .in_edges_labeled(hu, el)
-                                .iter()
-                                .copied()
-                                .filter(|&s| lv.matches(self.graph.label(s))),
-                        );
+                    buf.sort_unstable();
+                    buf.dedup();
+                } else {
+                    // The label's group is already sorted and duplicate-free.
+                    let group = if forward {
+                        self.graph.out_edges_labeled(hu, el)
                     } else {
-                        buf.extend(
-                            self.graph
-                                .in_edges(hu)
-                                .iter()
-                                .filter(|&&(l, s)| el.matches(l) && lv.matches(self.graph.label(s)))
-                                .map(|&(_, s)| s),
-                        );
-                        buf.sort_unstable();
-                        buf.dedup();
-                    }
-                    return;
+                        self.graph.in_edges_labeled(hu, el)
+                    };
+                    buf.extend(group.iter().copied().filter(label_ok));
                 }
+                return;
             }
         }
         match self.graph.label_candidates(lv) {
@@ -529,10 +503,10 @@ impl<'a, R: MatchRecorder> Matcher<'a, R> {
     /// match of interest and the candidate is skipped before recursion.
     fn prefilter_rejects(&self, v: Var, n: NodeId) -> bool {
         let req = &self.degree_req[v.idx()];
-        if req.needs_out && self.graph.out_edges(n).is_empty() {
+        if req.needs_out && self.graph.out_degree(n) == 0 {
             return true;
         }
-        if req.needs_in && self.graph.in_edges(n).is_empty() {
+        if req.needs_in && self.graph.in_degree(n) == 0 {
             return true;
         }
         if req
@@ -1059,19 +1033,16 @@ mod tests {
             .collect();
         for smart in [false, true] {
             for adj in [false, true] {
-                for lab in [false, true] {
-                    for pre in [false, true] {
-                        let opts = MatchOptions {
-                            semantics: Semantics::Homomorphism,
-                            smart_order: smart,
-                            adjacency_candidates: adj,
-                            labeled_adjacency: lab,
-                            prefilter: pre,
-                        };
-                        let got: std::collections::HashSet<Match> =
-                            find_all(&q, &g, opts).into_iter().collect();
-                        assert_eq!(got, base, "smart={smart} adj={adj} lab={lab} pre={pre}");
-                    }
+                for pre in [false, true] {
+                    let opts = MatchOptions {
+                        semantics: Semantics::Homomorphism,
+                        smart_order: smart,
+                        adjacency_candidates: adj,
+                        prefilter: pre,
+                    };
+                    let got: std::collections::HashSet<Match> =
+                        find_all(&q, &g, opts).into_iter().collect();
+                    assert_eq!(got, base, "smart={smart} adj={adj} pre={pre}");
                 }
             }
         }
