@@ -310,9 +310,98 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("1 rule(s)"), "{text}");
         assert!(text.contains("entailed-conclusion"), "{text}");
-        let json = r.to_json();
-        assert!(json.contains("\"kind\": \"entailed-conclusion\""), "{json}");
-        assert!(json.contains("\"prunable\""), "{json}");
-        assert!(json.ends_with("}\n"), "{json}");
+        let json = ged_obs::Json::parse(&format!("{:#}", r.to_json())).unwrap();
+        let diagnostics = json.get_arr("diagnostics").unwrap();
+        assert!(
+            diagnostics
+                .iter()
+                .any(|d| d.get_str("kind") == Some("entailed-conclusion")),
+            "{json}"
+        );
+        assert!(json.get_arr("prunable").is_some(), "{json}");
+    }
+
+    /// Every leaf of a JSON document as `path: Kind`, in document order;
+    /// array elements fold into `[]` and repeats are listed once.
+    fn key_paths(json: &ged_obs::Json) -> Vec<String> {
+        use ged_obs::Json;
+        fn walk(j: &Json, path: &str, out: &mut Vec<String>) {
+            let kind = match j {
+                Json::Obj(fields) => {
+                    for (k, v) in fields {
+                        let sep = if path.is_empty() { "" } else { "." };
+                        walk(v, &format!("{path}{sep}{k}"), out);
+                    }
+                    return;
+                }
+                Json::Arr(items) => {
+                    for v in items {
+                        walk(v, &format!("{path}[]"), out);
+                    }
+                    return;
+                }
+                Json::Null => "Null",
+                Json::Bool(_) => "Bool",
+                Json::Int(_) => "Int",
+                Json::Float(_) => "Float",
+                Json::Str(_) => "Str",
+            };
+            let leaf = format!("{path}: {kind}");
+            if !out.contains(&leaf) {
+                out.push(leaf);
+            }
+        }
+        let mut out = Vec::new();
+        walk(json, "", &mut out);
+        out
+    }
+
+    /// The report's JSON schema as collectors read it: every key path in
+    /// order, with its leaf kind — a rule-level finding with a prunable
+    /// rule, then a Σ-level finding (no rule, no index).
+    #[test]
+    fn report_json_schema_is_pinned() {
+        let idempotent = Ged::new(
+            "idempotent",
+            q1(),
+            vec![Literal::constant(Var(0), sym("status"), "a")],
+            vec![Literal::constant(Var(0), sym("status"), "a")],
+        );
+        let plan = |p: &str| {
+            Ged::new(
+                format!("plan:{p}"),
+                q1(),
+                vec![],
+                vec![Literal::constant(Var(0), sym("plan"), p)],
+            )
+        };
+        let mut paths = key_paths(&analyze(&[idempotent]).to_json());
+        paths.extend(key_paths(&analyze(&[plan("free"), plan("pro")]).to_json()));
+        let expected = vec![
+            "rules: Int",
+            "chase_eligible: Int",
+            "errors: Int",
+            "warnings: Int",
+            "notes: Int",
+            "diagnostics[].severity: Str",
+            "diagnostics[].kind: Str",
+            "diagnostics[].rule: Str",
+            "diagnostics[].index: Int",
+            "diagnostics[].message: Str",
+            "prunable[].index: Int",
+            "prunable[].rule: Str",
+            "prunable[].why: Str",
+            "rules: Int",
+            "chase_eligible: Int",
+            "errors: Int",
+            "warnings: Int",
+            "notes: Int",
+            "diagnostics[].severity: Str",
+            "diagnostics[].kind: Str",
+            "diagnostics[].rule: Null",
+            "diagnostics[].index: Null",
+            "diagnostics[].message: Str",
+        ];
+        assert_eq!(paths, expected);
     }
 }

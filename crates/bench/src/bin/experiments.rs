@@ -11,9 +11,9 @@
 //! the sharded-seeding section; `-- EXP-RW` runs the snapshot-isolated
 //! read-view section, concurrent violation queries against an active
 //! writer vs the serialized take-turns baseline); every incremental row
-//! that ran is
-//! written to `BENCH_INC.json` at the end so the incremental perf
-//! trajectory is machine-readable across PRs.
+//! that ran is written to `BENCH_INC.json` at the end, replacing that
+//! file's rows of the same classes and keeping the others, so the
+//! incremental perf trajectory is machine-readable across PRs.
 
 use ged_bench::{attr_burst, chain_implication, timed, timed_median, us, validation_workload};
 use ged_core::axiom::completeness::prove;
@@ -33,6 +33,7 @@ use ged_datagen::social::{generate as gen_social, spam_cascade, SocialConfig};
 use ged_ext::domain::{domain_as_disj, domain_as_gdcs};
 use ged_ext::reason::{disj_satisfiable, gdc_satisfiable};
 use ged_graph::{sym, Value};
+use ged_obs::Json;
 use ged_pattern::{fragments, parse_pattern, Var};
 
 fn header(id: &str, title: &str) {
@@ -1486,9 +1487,10 @@ fn exp_analyze() {
 /// `BENCH_INC.json`. Called at the end of the run, and *before* the
 /// host-sensitive speedup assertions of the EXP-INC-PAR / EXP-SEED
 /// sections so a flaky wall-clock miss cannot destroy the other rows.
-/// Hand-rolled JSON (the workspace is offline; no serde) — one object
-/// per workload row, schema kept flat for easy diffing across PRs.
+/// Each flush re-reads the file and merges into it ([`merge_inc_rows`]),
+/// so a subset run such as `-- EXP-MATCH` keeps the other classes' rows.
 fn write_bench_inc_json() {
+    const PATH: &str = "BENCH_INC.json";
     let rows = INC_ROWS.lock().unwrap();
     if rows.is_empty() {
         return;
@@ -1499,25 +1501,47 @@ fn write_bench_inc_json() {
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZero::get)
         .unwrap_or(1);
-    let json_rows: Vec<String> = rows
+    let fresh = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"class\": \"{}\", \"workload\": \"{}\", \"delta_size\": {}, \
-                 \"incremental_us\": {:.1}, \"full_us\": {:.1}, \"speedup\": {:.2}, \
-                 \"host_cores\": {host_cores}}}",
-                r.class, r.workload, r.delta_size, r.incremental_us, r.full_us, r.speedup
-            )
+            Json::obj(vec![
+                ("class", Json::from(r.class)),
+                ("workload", Json::from(r.workload)),
+                ("delta_size", Json::from(r.delta_size)),
+                ("incremental_us", rounded(r.incremental_us, 1)),
+                ("full_us", rounded(r.full_us, 1)),
+                ("speedup", rounded(r.speedup, 2)),
+                ("host_cores", Json::from(host_cores)),
+            ])
         })
         .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"EXP-INC\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    match std::fs::write("BENCH_INC.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_INC.json ({} rows)", rows.len()),
-        Err(e) => println!("\ncould not write BENCH_INC.json: {e}"),
+    let doc = merge_inc_rows(&std::fs::read_to_string(PATH).unwrap_or_default(), fresh);
+    match std::fs::write(PATH, format!("{doc:#}\n")) {
+        Ok(()) => println!("\nwrote {PATH} ({} rows of this run)", rows.len()),
+        Err(e) => println!("\ncould not write {PATH}: {e}"),
     }
+}
+
+/// The `BENCH_INC.json` document after a run: the `previous` file's rows
+/// whose `class` no `fresh` row has, then `fresh`; a file that does not
+/// parse counts as empty. Replacing whole classes, not single rows,
+/// means a renamed workload leaves no stale row behind.
+fn merge_inc_rows(previous: &str, fresh: Vec<Json>) -> Json {
+    let previous = Json::parse(previous).unwrap_or(Json::Null);
+    let ran: Vec<&str> = fresh.iter().filter_map(|r| r.get_str("class")).collect();
+    let mut rows = previous.get_arr("rows").unwrap_or_default().to_vec();
+    rows.retain(|r| !r.get_str("class").is_some_and(|c| ran.contains(&c)));
+    rows.extend(fresh);
+    Json::obj(vec![
+        ("experiment", Json::from("EXP-INC")),
+        ("rows", Json::Arr(rows)),
+    ])
+}
+
+/// `x` to `digits` decimals, the precision the trajectory files keep.
+fn rounded(x: f64, digits: i32) -> Json {
+    let scale = 10f64.powi(digits);
+    Json::Float((x * scale).round() / scale)
 }
 
 /// EXP-OBS — the observability layer's cost: the random-1k delta path
@@ -1667,26 +1691,27 @@ fn exp_obs() {
         .map(std::num::NonZero::get)
         .unwrap_or(1);
     let snapshot = v.metrics();
-    let json = format!(
-        "{{\n  \"experiment\": \"EXP-OBS\",\n  \"workload\": \"random-1k\",\n  \
-         \"host_cores\": {host_cores},\n  \"deltas\": {n_deltas},\n  \
-         \"batch_size\": {BATCH},\n  \
-         \"batched_uninstrumented_us\": {:.1},\n  \"batched_instrumented_us\": {:.1},\n  \
-         \"batched_overhead_pct\": {:.2},\n  \
-         \"single_uninstrumented_us\": {:.1},\n  \"single_instrumented_us\": {:.1},\n  \
-         \"single_overhead_pct\": {:.2},\n  \"fixed_ns_per_batch\": {:.0},\n  \
-         \"batches\": {},\n  \"match_attempts\": {}\n}}\n",
-        b_off.as_secs_f64() * 1e6,
-        b_on.as_secs_f64() * 1e6,
-        overhead * 100.0,
-        s_off.as_secs_f64() * 1e6,
-        s_on.as_secs_f64() * 1e6,
-        overhead_single * 100.0,
-        fixed_ns_per_batch,
-        snapshot.batches,
-        snapshot.match_attempts(),
-    );
-    match std::fs::write("BENCH_OBS.json", &json) {
+    let us_json = |d: std::time::Duration| rounded(d.as_secs_f64() * 1e6, 1);
+    let json = Json::obj(vec![
+        ("experiment", Json::from("EXP-OBS")),
+        ("workload", Json::from("random-1k")),
+        ("host_cores", Json::from(host_cores)),
+        ("deltas", Json::from(n_deltas)),
+        ("batch_size", Json::from(BATCH)),
+        ("batched_uninstrumented_us", us_json(b_off)),
+        ("batched_instrumented_us", us_json(b_on)),
+        ("batched_overhead_pct", rounded(overhead * 100.0, 2)),
+        ("single_uninstrumented_us", us_json(s_off)),
+        ("single_instrumented_us", us_json(s_on)),
+        ("single_overhead_pct", rounded(overhead_single * 100.0, 2)),
+        (
+            "fixed_ns_per_batch",
+            Json::from(fixed_ns_per_batch.round() as i64),
+        ),
+        ("batches", Json::from(snapshot.batches)),
+        ("match_attempts", Json::from(snapshot.match_attempts())),
+    ]);
+    match std::fs::write("BENCH_OBS.json", format!("{json:#}\n")) {
         Ok(()) => println!("wrote BENCH_OBS.json"),
         Err(e) => println!("could not write BENCH_OBS.json: {e}"),
     }
@@ -2147,4 +2172,50 @@ fn exp_daemon() {
     handle.join();
     println!("  shutdown: drained at epoch {final_epoch}");
     write_bench_inc_json();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(class: &str, workload: &str) -> Json {
+        Json::obj(vec![
+            ("class", Json::from(class)),
+            ("workload", Json::from(workload)),
+        ])
+    }
+
+    fn classes_and_workloads(doc: &Json) -> Vec<(&str, &str)> {
+        doc.get_arr("rows")
+            .unwrap()
+            .iter()
+            .map(|r| (r.get_str("class").unwrap(), r.get_str("workload").unwrap()))
+            .collect()
+    }
+
+    /// A subset run keeps the other classes' rows and replaces, not
+    /// duplicates, the rows of the classes it produced — including a
+    /// workload it no longer produces under its old name.
+    #[test]
+    fn merge_replaces_the_run_classes_and_keeps_the_rest() {
+        let file = merge_inc_rows(
+            "",
+            vec![
+                row("ged", "random-1k"),
+                row("match", "social"),
+                row("match", "old-name"),
+            ],
+        );
+        let merged = merge_inc_rows(&format!("{file:#}\n"), vec![row("match", "social")]);
+        assert_eq!(
+            classes_and_workloads(&merged),
+            [("ged", "random-1k"), ("match", "social")]
+        );
+        // Flushing the same run again is idempotent.
+        let again = merge_inc_rows(&merged.to_string(), vec![row("match", "social")]);
+        assert_eq!(again, merged);
+        // A file that does not parse starts empty.
+        let fresh = merge_inc_rows("[{", vec![row("rw", "x")]);
+        assert_eq!(classes_and_workloads(&fresh), [("rw", "x")]);
+    }
 }

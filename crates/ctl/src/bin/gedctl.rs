@@ -154,7 +154,7 @@ fn run(
         }
         Command::Metrics => {
             let metrics = client.metrics()?;
-            println!("{metrics}");
+            println!("{metrics:#}");
             Ok(exit::OK)
         }
         Command::Apply(_) => {

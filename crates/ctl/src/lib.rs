@@ -9,7 +9,7 @@
 #![warn(missing_debug_implementations)]
 
 use ged_graph::DeltaSet;
-use ged_proto::json::Json;
+use ged_obs::Json;
 use ged_proto::message::delta_from_json;
 
 /// Exit codes `gedctl` commits to (scripts branch on these).
@@ -38,7 +38,7 @@ COMMANDS:
     status               is the graph satisfied? (exit 1 if violations)
     violations           list current violations with witnesses
     report               full per-rule validation report
-    metrics              engine metrics snapshot
+    metrics              engine metrics snapshot (indented JSON)
     apply DELTA...       apply a batch; each DELTA is a JSON object like
                          '{\"op\":\"add_node\",\"label\":\"account\"}'
                          (a single `-` reads one JSON object per stdin line)

@@ -23,7 +23,7 @@ use ged_engine::validator::{ApplyStats, IncrementalValidator};
 use ged_engine::view::ReadView;
 use ged_ext::SigmaConstraint;
 use ged_graph::{DeltaSet, Graph};
-use ged_proto::json::Json;
+use ged_obs::Json;
 use ged_proto::message::{
     code, err_response, ok_response, report_to_json, violation_to_json, Request, PROTOCOL_VERSION,
 };
@@ -335,7 +335,7 @@ fn respond(frame: &Json, ctx: &ConnCtx) -> Json {
                 ("count", Json::from(report.violations.len())),
                 (
                     "violations",
-                    Json::Arr(report.violations.iter().map(violation_to_json).collect()),
+                    report.violations.iter().map(violation_to_json).collect(),
                 ),
             ])
         }
@@ -351,16 +351,10 @@ fn respond(frame: &Json, ctx: &ConnCtx) -> Json {
                 ("violations", Json::from(snap.violation_count())),
             ])
         }
-        Request::Metrics => {
-            let text = ctx.view.metrics().to_json();
-            match Json::parse(&text) {
-                Ok(metrics) => ok_response(vec![
-                    ("epoch", Json::from(ctx.view.epoch())),
-                    ("metrics", metrics),
-                ]),
-                Err(e) => err_response(code::INTERNAL, &format!("metrics snapshot: {e}")),
-            }
-        }
+        Request::Metrics => ok_response(vec![
+            ("epoch", Json::from(ctx.view.epoch())),
+            ("metrics", ctx.view.metrics().to_json()),
+        ]),
         Request::Health => ok_response(vec![
             ("protocol", Json::from(PROTOCOL_VERSION)),
             ("epoch", Json::from(ctx.view.epoch())),
@@ -399,14 +393,12 @@ fn respond_apply(ds: DeltaSet, ctx: &ConnCtx) -> Json {
             ("added", Json::from(outcome.stats.violations_added)),
             (
                 "created",
-                Json::Arr(
-                    outcome
-                        .stats
-                        .created
-                        .iter()
-                        .map(|n| Json::from(u64::from(n.0)))
-                        .collect(),
-                ),
+                outcome
+                    .stats
+                    .created
+                    .iter()
+                    .map(|n| Json::from(u64::from(n.0)))
+                    .collect(),
             ),
         ]),
         // The batch was queued but the writer exited (shutdown drained

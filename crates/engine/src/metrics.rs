@@ -27,7 +27,9 @@
 use crate::store::ViolationStore;
 use crate::validator::ApplyStats;
 use ged_core::constraint::Constraint;
-use ged_obs::{fmt_ns, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, TraceRing};
+use ged_obs::{
+    fmt_ns, Counter, Gauge, Histogram, HistogramSnapshot, Json, LocalHistogram, TraceRing,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -516,112 +518,85 @@ impl MetricsSnapshot {
             .map(|p| &p.latency)
     }
 
-    /// Vendored JSON serialisation (same hand-rolled style as
-    /// `ged-graph::io` and the bench harness: no external dependencies).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"enabled\": {},\n", self.enabled));
-        s.push_str(&format!("  \"batches\": {},\n", self.batches));
-        s.push_str(&format!("  \"deltas_applied\": {},\n", self.deltas_applied));
-        s.push_str(&format!("  \"touched_nodes\": {},\n", self.touched_nodes));
-        s.push_str(&format!(
-            "  \"witnesses\": {{\"dropped\": {}, \"removed\": {}, \"added\": {}, \"retained\": {}}},\n",
-            self.witnesses_dropped,
-            self.witnesses_removed,
-            self.witnesses_added,
-            self.witnesses_retained
-        ));
-        s.push_str(&format!("  \"store_size\": {},\n", self.store_size));
-        s.push_str(&format!(
-            "  \"store_slab_slots\": {},\n",
-            self.store_slab_slots
-        ));
-        s.push_str(&format!("  \"read_views\": {},\n", self.read_views));
-        s.push_str(&format!(
-            "  \"published_epoch\": {},\n",
-            self.published_epoch
-        ));
-        s.push_str(&format!(
-            "  \"match_attempts\": {},\n  \"matches_found\": {},\n",
-            self.match_attempts(),
-            self.matches_found()
-        ));
-        s.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"phase\": \"{}\", {}}}{}\n",
-                p.phase.name(),
-                histogram_json(&p.latency),
-                if i + 1 < self.phases.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"unit_latency\": {{{}}},\n",
-            histogram_json(&self.unit_latency)
-        ));
-        s.push_str("  \"rules\": [\n");
-        for (i, r) in self.rules.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"match_attempts\": {}, \"prefilter_rejects\": {}, \
-                 \"matches_found\": {}, \
-                 \"violations_found\": {}, \"seed_ns\": {}, \"reenum_ns\": {}}}{}\n",
-                json_escape(&r.name),
-                r.match_attempts,
-                r.prefilter_rejects,
-                r.matches_found,
-                r.violations_found,
-                r.seed_ns,
-                r.reenum_ns,
-                if i + 1 < self.rules.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"trace\": [\n");
-        for (i, (seq, st)) in self.trace.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"batch\": {}, \"deltas_applied\": {}, \"removed\": {}, \"added\": {}, \
-                 \"retained\": {}, \"touched_nodes\": {}}}{}\n",
-                seq,
-                st.deltas_applied,
-                st.violations_removed,
-                st.violations_added,
-                st.violations_retained,
-                st.touched_nodes,
-                if i + 1 < self.trace.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The snapshot as a [`Json`] document: the daemon's `metrics` reply
+    /// and the `METRICS_10K*.json` artifacts (`{:#}` prints it indented).
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("enabled", Json::Bool(self.enabled)),
+            ("batches", Json::from(self.batches)),
+            ("deltas_applied", Json::from(self.deltas_applied)),
+            ("touched_nodes", Json::from(self.touched_nodes)),
+            (
+                "witnesses",
+                Json::obj(vec![
+                    ("dropped", Json::from(self.witnesses_dropped)),
+                    ("removed", Json::from(self.witnesses_removed)),
+                    ("added", Json::from(self.witnesses_added)),
+                    ("retained", Json::from(self.witnesses_retained)),
+                ]),
+            ),
+            ("store_size", Json::from(self.store_size)),
+            ("store_slab_slots", Json::from(self.store_slab_slots)),
+            ("read_views", Json::from(self.read_views)),
+            ("published_epoch", Json::from(self.published_epoch)),
+            ("match_attempts", Json::from(self.match_attempts())),
+            ("matches_found", Json::from(self.matches_found())),
+            (
+                "phases",
+                self.phases
+                    .iter()
+                    .map(|p| latency_json(vec![("phase", Json::from(p.phase.name()))], &p.latency))
+                    .collect(),
+            ),
+            ("unit_latency", latency_json(Vec::new(), &self.unit_latency)),
+            (
+                "rules",
+                self.rules
+                    .iter()
+                    .map(|r| {
+                        Json::obj(vec![
+                            ("name", Json::from(r.name.as_str())),
+                            ("match_attempts", Json::from(r.match_attempts)),
+                            ("prefilter_rejects", Json::from(r.prefilter_rejects)),
+                            ("matches_found", Json::from(r.matches_found)),
+                            ("violations_found", Json::from(r.violations_found)),
+                            ("seed_ns", Json::from(r.seed_ns)),
+                            ("reenum_ns", Json::from(r.reenum_ns)),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "trace",
+                self.trace
+                    .iter()
+                    .map(|(seq, st)| {
+                        Json::obj(vec![
+                            ("batch", Json::from(*seq)),
+                            ("deltas_applied", Json::from(st.deltas_applied)),
+                            ("removed", Json::from(st.violations_removed)),
+                            ("added", Json::from(st.violations_added)),
+                            ("retained", Json::from(st.violations_retained)),
+                            ("touched_nodes", Json::from(st.touched_nodes)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ])
     }
 }
 
-fn histogram_json(h: &HistogramSnapshot) -> String {
-    format!(
-        "\"count\": {}, \"sum_ns\": {}, \"max_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}",
-        h.count,
-        h.sum_ns,
-        h.max_ns,
-        h.p50_ns(),
-        h.p95_ns(),
-        h.p99_ns()
-    )
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// One object: `fields`, then a latency histogram's summary.
+fn latency_json(mut fields: Vec<(&str, Json)>, h: &HistogramSnapshot) -> Json {
+    fields.extend([
+        ("count", Json::from(h.count)),
+        ("sum_ns", Json::from(h.sum_ns)),
+        ("max_ns", Json::from(h.max_ns)),
+        ("p50_ns", Json::from(h.p50_ns())),
+        ("p95_ns", Json::from(h.p95_ns())),
+        ("p99_ns", Json::from(h.p99_ns())),
+    ]);
+    Json::obj(fields)
 }
 
 impl std::fmt::Display for MetricsSnapshot {

@@ -1679,9 +1679,105 @@ mod tests {
         assert_eq!(trace.len(), 1);
         assert_eq!(trace[0].0, 1, "batch ids are 1-based ring sequences");
         assert_eq!(trace[0].1, stats);
-        // The snapshot renders both ways without panicking.
+        // The snapshot renders both ways, and the JSON parses back.
         assert!(m.to_string().contains("1 batch(es)"));
-        assert!(m.to_json().contains("\"batches\": 1"));
+        let json = ged_obs::Json::parse(&format!("{:#}", m.to_json())).unwrap();
+        assert_eq!(json.get_u64("batches"), Some(1));
+    }
+
+    /// Every leaf of a JSON document as `path: Kind`, in document order.
+    /// Array elements fold into `[]`, and a `path: Kind` seen before is
+    /// not repeated, so equal-shaped array entries list once.
+    fn key_paths(json: &ged_obs::Json) -> Vec<String> {
+        use ged_obs::Json;
+        fn walk(j: &Json, path: &str, out: &mut Vec<String>) {
+            let kind = match j {
+                Json::Obj(fields) => {
+                    for (k, v) in fields {
+                        let sep = if path.is_empty() { "" } else { "." };
+                        walk(v, &format!("{path}{sep}{k}"), out);
+                    }
+                    return;
+                }
+                Json::Arr(items) => {
+                    for v in items {
+                        walk(v, &format!("{path}[]"), out);
+                    }
+                    return;
+                }
+                Json::Null => "Null",
+                Json::Bool(_) => "Bool",
+                Json::Int(_) => "Int",
+                Json::Float(_) => "Float",
+                Json::Str(_) => "Str",
+            };
+            let leaf = format!("{path}: {kind}");
+            if !out.contains(&leaf) {
+                out.push(leaf);
+            }
+        }
+        let mut out = Vec::new();
+        walk(json, "", &mut out);
+        out
+    }
+
+    /// The `metrics` reply's schema, as `perfbench --trace 1`, `gedctl`
+    /// and the `METRICS_10K*.json` artifacts read it: every key path in
+    /// order, with its leaf kind.
+    #[test]
+    fn metrics_json_schema_is_pinned() {
+        let (g, sigma) = hot_wildcard_sigma_and_graph();
+        let mut v = IncrementalValidator::with_threads(g, sigma, 2);
+        let n = v.graph().nodes().next().unwrap();
+        v.apply(&Delta::SetAttr {
+            node: n,
+            attr: sym("k"),
+            value: Value::from(100),
+        });
+        let json = v.metrics().to_json();
+        let expected = vec![
+            "enabled: Bool",
+            "batches: Int",
+            "deltas_applied: Int",
+            "touched_nodes: Int",
+            "witnesses.dropped: Int",
+            "witnesses.removed: Int",
+            "witnesses.added: Int",
+            "witnesses.retained: Int",
+            "store_size: Int",
+            "store_slab_slots: Int",
+            "read_views: Int",
+            "published_epoch: Int",
+            "match_attempts: Int",
+            "matches_found: Int",
+            "phases[].phase: Str",
+            "phases[].count: Int",
+            "phases[].sum_ns: Int",
+            "phases[].max_ns: Int",
+            "phases[].p50_ns: Int",
+            "phases[].p95_ns: Int",
+            "phases[].p99_ns: Int",
+            "unit_latency.count: Int",
+            "unit_latency.sum_ns: Int",
+            "unit_latency.max_ns: Int",
+            "unit_latency.p50_ns: Int",
+            "unit_latency.p95_ns: Int",
+            "unit_latency.p99_ns: Int",
+            "rules[].name: Str",
+            "rules[].match_attempts: Int",
+            "rules[].prefilter_rejects: Int",
+            "rules[].matches_found: Int",
+            "rules[].violations_found: Int",
+            "rules[].seed_ns: Int",
+            "rules[].reenum_ns: Int",
+            "trace[].batch: Int",
+            "trace[].deltas_applied: Int",
+            "trace[].removed: Int",
+            "trace[].added: Int",
+            "trace[].retained: Int",
+            "trace[].touched_nodes: Int",
+        ];
+        assert_eq!(key_paths(&json), expected);
     }
 
     /// Disabling metrics freezes the registry: the delta path runs with
@@ -1912,8 +2008,9 @@ mod tests {
         // The snapshot renders the new gauges both ways.
         let m = v.metrics();
         assert!(m.to_string().contains("read views: 0 live"));
-        assert!(m.to_json().contains("\"read_views\": 0"));
-        assert!(m.to_json().contains("\"published_epoch\": 0"));
+        let json = ged_obs::Json::parse(&format!("{:#}", m.to_json())).unwrap();
+        assert_eq!(json.get_u64("read_views"), Some(0));
+        assert_eq!(json.get_u64("published_epoch"), Some(0));
     }
 
     /// A cloned validator starts with a fresh, inactive view set: views

@@ -1,14 +1,13 @@
-//! A minimal JSON document model with a parser and a one-line writer.
+//! The workspace's one JSON document model: a parser and a writer.
 //!
-//! The build environment has no crates.io access (DESIGN.md §2), so the
-//! wire protocol vendors its own JSON the same way `MetricsSnapshot::
-//! to_json` and the bench harness hand-roll their serialisation — except
-//! the daemon must also *read* JSON off untrusted sockets, so this module
-//! adds the missing half: a recursive-descent parser with a document
-//! depth limit (a hostile frame of ten thousand `[`s must produce a
-//! [`JsonError`], not a stack overflow).
+//! The build environment has no crates.io access (DESIGN.md §2), so every
+//! machine-readable output — the wire protocol, metrics snapshots,
+//! analysis reports, the harness's `BENCH_*.json` — builds a [`Json`] and
+//! lets this writer decide escapes, number forms and layout. The daemon
+//! reads JSON off untrusted sockets, so the parser has a document depth
+//! limit (ten thousand `[`s yield a [`JsonError`], not a stack overflow).
 //!
-//! Two deliberate choices:
+//! Three deliberate choices:
 //!
 //! * **Integers and floats stay distinct** ([`Json::Int`] vs
 //!   [`Json::Float`]). The graph's attribute universe distinguishes
@@ -17,9 +16,11 @@
 //!   codec must round-trip the distinction. The writer renders integral
 //!   floats with a forced `.0` and the parser classifies by the presence
 //!   of `.`/`e` in the literal, making the round-trip lossless.
-//! * **The writer emits exactly one line.** Frames are newline-delimited
-//!   ([`crate::wire`]), so the serialised form must never contain a raw
+//! * **`{}` and [`Json::write`] emit exactly one line.** Wire frames are
+//!   newline-delimited, so the serialised form must never contain a raw
 //!   newline; string escapes guarantee that.
+//! * **`{:#}` is the readable layout** for files and terminals: the same
+//!   tokens, with a 2-space indent and `"key": value`.
 
 use std::fmt;
 
@@ -168,8 +169,8 @@ impl Json {
     }
 
     /// Does this document contain a NaN/Infinity float anywhere? JSON
-    /// cannot represent such values, so the frame writer
-    /// ([`crate::wire::write_frame`]) refuses to send documents for
+    /// cannot represent such values, so the wire's frame writer
+    /// (`ged_proto::wire::write_frame`) refuses to send documents for
     /// which this is true instead of silently degrading them to `null`.
     pub fn has_non_finite(&self) -> bool {
         match self {
@@ -182,6 +183,12 @@ impl Json {
 
     /// Serialise onto `out` — always a single line (see module docs).
     pub fn write(&self, out: &mut String) {
+        self.write_layout(out, None);
+    }
+
+    /// Both layouts: `indent` is `None` on one line, `Some(depth)` for `{:#}`.
+    fn write_layout(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|depth| depth + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -202,10 +209,11 @@ impl Json {
                     }
                 } else {
                     // JSON has no NaN/Infinity literal; degrade to null
-                    // rather than emitting an unparseable frame. The
-                    // frame writer ([`crate::wire::write_frame`]) rejects
-                    // such frames up front so nothing silently crosses
-                    // the wire as null — this arm only serves `Display`.
+                    // rather than emitting an unparseable document. The
+                    // wire's frame writer rejects such documents up front
+                    // (see [`Json::has_non_finite`]) so nothing silently
+                    // crosses the wire as null — this arm only serves
+                    // `Display`.
                     out.push_str("null");
                 }
             }
@@ -216,8 +224,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    new_line(out, inner);
+                    v.write_layout(out, inner);
                 }
+                new_line(out, indent.filter(|_| !items.is_empty()));
                 out.push(']');
             }
             Json::Obj(fields) => {
@@ -226,21 +236,41 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
+                    new_line(out, inner);
                     write_escaped(k, out);
                     out.push(':');
-                    v.write(out);
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    v.write_layout(out, inner);
                 }
+                new_line(out, indent.filter(|_| !fields.is_empty()));
                 out.push('}');
             }
         }
     }
 }
 
+/// In the indented layout (`Some(depth)`), start a line at `depth`.
+fn new_line(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = String::new();
-        self.write(&mut s);
+        self.write_layout(&mut s, f.alternate().then_some(0));
         f.write_str(&s)
+    }
+}
+
+/// Collecting values makes an array.
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Json {
+        Json::Arr(items.into_iter().collect())
     }
 }
 
@@ -652,5 +682,153 @@ mod tests {
             Json::parse(r#""\u0041\u00e5\ud83e\udd80""#).unwrap(),
             Json::Str("Aå🦀".to_string())
         );
+    }
+
+    #[test]
+    fn alternate_layout_indents_and_parses_back() {
+        let v = Json::obj(vec![
+            ("a", Json::Arr(vec![Json::Int(1), Json::obj(vec![])])),
+            ("b", Json::Arr(vec![])),
+            ("c", Json::Str("x\ny".to_string())),
+        ]);
+        let indented = r#"{
+  "a": [
+    1,
+    {}
+  ],
+  "b": [],
+  "c": "x\ny"
+}"#;
+        assert_eq!(format!("{v:#}"), indented);
+        assert_eq!(v.to_string(), r#"{"a":[1,{}],"b":[],"c":"x\ny"}"#);
+        assert_eq!(Json::parse(&format!("{v:#}")).unwrap(), v);
+        assert_eq!(format!("{:#}", Json::Int(7)), "7");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::{run_cases, TestRng};
+
+    /// Characters that stress the string escapes: controls, quotes,
+    /// backslashes, non-BMP (surrogate-pair) characters and plain text.
+    const CHARS: &str =
+        "\0\u{1}\u{8}\t\n\u{b}\u{c}\r\u{1f}\"\\/aZ 0é∂\u{7f}\u{fffd}🦀\u{10000}\u{10ffff}";
+
+    fn arb_string(rng: &mut TestRng) -> String {
+        let chars: Vec<char> = CHARS.chars().collect();
+        (0..rng.below(8))
+            .map(|_| chars[rng.below(chars.len())])
+            .collect()
+    }
+
+    /// A finite float from one of several regimes, including integral
+    /// values from 1e0 to 1e300 (across the writer's old 1e15 cliff).
+    fn arb_float(rng: &mut TestRng) -> f64 {
+        let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+        let f = match rng.below(4) {
+            0 => (1 + rng.below(9)) as f64 * 10f64.powi(rng.below(301) as i32),
+            1 => rng.below(1000) as f64 / 8.0,
+            2 => (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64,
+            _ => f64::from_bits(rng.next_u64()),
+        };
+        if f.is_finite() {
+            sign * f
+        } else {
+            sign * 1.5
+        }
+    }
+
+    fn arb_json(rng: &mut TestRng, depth: usize) -> Json {
+        let kinds = if depth >= 4 { 5 } else { 7 };
+        match rng.below(kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.chance(0.5)),
+            2 => Json::Int(match rng.below(4) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => rng.below(1000) as i64 - 500,
+                _ => rng.next_u64() as i64,
+            }),
+            3 => Json::Float(arb_float(rng)),
+            4 => Json::Str(arb_string(rng)),
+            5 => Json::Arr(
+                (0..rng.below(5))
+                    .map(|_| arb_json(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (arb_string(rng), arb_json(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Both layouts parse back to the value they print, and the plain
+    /// layout is one line.
+    #[test]
+    fn random_documents_roundtrip_in_both_layouts() {
+        run_cases("random_documents_roundtrip_in_both_layouts", |rng| {
+            for _ in 0..8 {
+                let j = arb_json(rng, 0);
+                let line = j.to_string();
+                prop_assert!(!line.contains('\n'), "{line}");
+                let parse = |text: &str| {
+                    Json::parse(text).map_err(|e| TestCaseError::fail(format!("{e}: {text}")))
+                };
+                prop_assert_eq!(parse(&line)?, j.clone());
+                prop_assert_eq!(parse(&format!("{j:#}"))?, j);
+            }
+            Ok(())
+        });
+    }
+
+    /// Arbitrary bytes (lossily decoded) and arbitrary runs of JSON
+    /// punctuation parse to a value or an error, never a panic.
+    #[test]
+    fn parse_never_panics_on_garbage() {
+        const TOKENS: &[&str] = &[
+            "[", "]", "{", "}", ":", ",", "\"", "\\", "\\u", "d83e", "dd80", "0", "-", ".", "e",
+            "+", "1", "true", "nul", "\"k\"", " ", "\n", "\u{1}", "🦀",
+        ];
+        run_cases("parse_never_panics_on_garbage", |rng| {
+            let bytes: Vec<u8> = (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect();
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+            let text: String = (0..rng.below(64))
+                .map(|_| TOKENS[rng.below(TOKENS.len())])
+                .collect();
+            let _ = Json::parse(&text);
+            Ok(())
+        });
+    }
+
+    /// `k` containers around a scalar put it at depth `k`: accepted up
+    /// to [`MAX_DEPTH`], an error past it, whichever containers nest.
+    #[test]
+    fn nesting_past_max_depth_is_an_error() {
+        fn nested(rng: &mut TestRng, k: usize) -> String {
+            let mut open = String::new();
+            let mut close = String::new();
+            for _ in 0..k {
+                if rng.chance(0.5) {
+                    open.push('[');
+                    close.insert(0, ']');
+                } else {
+                    open.push_str("{\"k\":");
+                    close.insert(0, '}');
+                }
+            }
+            open + "1" + &close
+        }
+        run_cases("nesting_past_max_depth_is_an_error", |rng| {
+            let inside = 1 + rng.below(MAX_DEPTH);
+            prop_assert!(Json::parse(&nested(rng, inside)).is_ok(), "depth {inside}");
+            let past = MAX_DEPTH + 1 + rng.below(64);
+            prop_assert!(Json::parse(&nested(rng, past)).is_err(), "depth {past}");
+            Ok(())
+        });
     }
 }

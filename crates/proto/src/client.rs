@@ -5,13 +5,13 @@
 //! and the end-to-end test harness drive the daemon through this type,
 //! so a protocol change breaks exactly one call site per request kind.
 
-use crate::json::Json;
 use crate::message::{
-    apply_from_json, report_from_json, violation_from_json, ApplyReply, ReportReply, Request,
+    apply_from_json, code, report_from_json, violation_from_json, ApplyReply, ReportReply, Request,
     WireViolation,
 };
 use crate::wire::{read_frame, write_frame, WireError, DEFAULT_MAX_FRAME};
 use ged_graph::DeltaSet;
+use ged_obs::Json;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -219,7 +219,7 @@ pub fn unwrap_ok(reply: Json) -> Result<Json, ClientError> {
     match reply.get_bool("ok") {
         Some(true) => Ok(reply),
         Some(false) => Err(ClientError::Server {
-            code: reply.get_str("code").unwrap_or("internal").to_string(),
+            code: reply.get_str("code").unwrap_or(code::INTERNAL).to_string(),
             message: reply.get_str("error").unwrap_or("").to_string(),
         }),
         None => Err(ClientError::Decode(format!(

@@ -2,16 +2,15 @@
 //! client (`gedctl`).
 //!
 //! The build environment has no crates.io access, so the protocol is
-//! std-only by construction: newline-delimited JSON frames over TCP,
-//! with a vendored hand-rolled JSON [`parser and writer`](json) in the
-//! style of the repo's other dependency-free stand-ins (`vendor/*`,
-//! the `ged-engine` metrics serializer).
+//! std-only by construction: newline-delimited JSON frames over TCP.
 //!
 //! Layering, bottom up:
 //!
-//! * [`json`] — the `Json` value type, a depth-limited recursive-descent
-//!   parser, and a one-line writer that keeps `Int`/`Float` distinct
-//!   (`2` vs `2.0`), which the attribute-value codec relies on;
+//! * `ged_obs::json` (below this crate, re-exported as [`Json`] and
+//!   [`JsonError`]) — the workspace's one JSON value type, shared with
+//!   the engine's metrics and the analyzer's reports: a depth-limited
+//!   parser and a writer whose single-line `{}` form keeps `Int`/`Float`
+//!   distinct (`2` vs `2.0`), which the attribute-value codec relies on;
 //! * [`wire`] — framing: one JSON document per `\n`-terminated line,
 //!   with a per-frame byte cap and structured
 //!   oversized/truncated/malformed errors;
@@ -27,12 +26,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod client;
-pub mod json;
 pub mod message;
 pub mod wire;
 
 pub use client::{Client, ClientError, HealthReply};
-pub use json::{Json, JsonError};
+pub use ged_obs::json::{Json, JsonError};
 pub use message::{
     code, ApplyReply, ReportReply, Request, RequestError, WireViolation, PROTOCOL_VERSION,
 };

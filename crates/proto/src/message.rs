@@ -14,11 +14,11 @@
 //! trailing `.0` and the parser classifies by the presence of a
 //! fraction/exponent, so values survive a round trip bit-for-bit.
 
-use crate::json::Json;
 use ged_core::constraint::ViolationKind;
 use ged_core::reason::ValidationReport;
 use ged_core::satisfy::Violation;
 use ged_graph::{sym, Delta, DeltaSet, NodeId, Value};
+use ged_obs::Json;
 
 /// Wire protocol version, reported by `health`.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -93,10 +93,7 @@ impl Request {
         match self {
             Request::Apply(ds) => Json::obj(vec![
                 ("cmd", Json::from("apply")),
-                (
-                    "deltas",
-                    Json::Arr(ds.deltas().iter().map(delta_to_json).collect()),
-                ),
+                ("deltas", ds.deltas().iter().map(delta_to_json).collect()),
             ]),
             Request::Violations => cmd_only("violations"),
             Request::Report => cmd_only("report"),
@@ -304,7 +301,7 @@ fn wire_violation_to_json(rule: &str, assignment: &[NodeId], kind: &ViolationKin
         ("rule", Json::from(rule)),
         (
             "assignment",
-            Json::Arr(assignment.iter().map(|n| node_to_json(*n)).collect()),
+            assignment.iter().map(|n| node_to_json(*n)).collect(),
         ),
         ("kind", Json::Str(format!("{kind:?}"))),
     ])
@@ -341,23 +338,21 @@ pub fn report_to_json(epoch: u64, report: &ValidationReport) -> Json {
         ("total", Json::from(report.violations.len())),
         (
             "rules",
-            Json::Arr(
-                report
-                    .per_ged
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("name", Json::from(r.name.as_str())),
-                            ("violations", Json::from(r.violation_count)),
-                            ("satisfied", Json::Bool(r.satisfied)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            report
+                .per_ged
+                .iter()
+                .map(|r| {
+                    Json::obj(vec![
+                        ("name", Json::from(r.name.as_str())),
+                        ("violations", Json::from(r.violation_count)),
+                        ("satisfied", Json::Bool(r.satisfied)),
+                    ])
+                })
+                .collect(),
         ),
         (
             "violations",
-            Json::Arr(report.violations.iter().map(violation_to_json).collect()),
+            report.violations.iter().map(violation_to_json).collect(),
         ),
     ])
 }
@@ -590,5 +585,92 @@ mod tests {
             reply.violations[0].kind,
             format!("{:?}", ViolationKind::Disjunction)
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::{run_cases, TestRng};
+
+    const NAMES: &[&str] = &["person", "knows", "age", "a \"q\"", "t\\b", "ünï", "🦀", ""];
+
+    fn node(rng: &mut TestRng) -> NodeId {
+        NodeId(if rng.chance(0.2) {
+            u32::MAX
+        } else {
+            rng.below(64) as u32
+        })
+    }
+
+    fn name(rng: &mut TestRng) -> ged_graph::Symbol {
+        sym(NAMES[rng.below(NAMES.len())])
+    }
+
+    fn value(rng: &mut TestRng) -> Value {
+        match rng.below(6) {
+            0 => Value::Int(rng.next_u64() as i64),
+            1 => Value::Int(rng.below(5) as i64),
+            2 => Value::Float(rng.below(5) as f64),
+            3 => {
+                let f = f64::from_bits(rng.next_u64());
+                Value::Float(if f.is_finite() { f } else { -0.5 })
+            }
+            4 => Value::Bool(rng.chance(0.5)),
+            _ => Value::Str(NAMES[rng.below(NAMES.len())].to_string()),
+        }
+    }
+
+    fn delta(rng: &mut TestRng) -> Delta {
+        match rng.below(6) {
+            0 => Delta::AddNode { label: name(rng) },
+            1 => Delta::RemoveNode { node: node(rng) },
+            2 => Delta::AddEdge {
+                src: node(rng),
+                label: name(rng),
+                dst: node(rng),
+            },
+            3 => Delta::RemoveEdge {
+                src: node(rng),
+                label: name(rng),
+                dst: node(rng),
+            },
+            4 => Delta::SetAttr {
+                node: node(rng),
+                attr: name(rng),
+                value: value(rng),
+            },
+            _ => Delta::DelAttr {
+                node: node(rng),
+                attr: name(rng),
+            },
+        }
+    }
+
+    /// Every request survives encode → one-line text → decode: random
+    /// `Apply` batches over every delta op and value kind, and every
+    /// query request.
+    #[test]
+    fn requests_roundtrip_through_the_wire_text() {
+        run_cases("requests_roundtrip_through_the_wire_text", |rng| {
+            let deltas: Vec<Delta> = (0..rng.below(24)).map(|_| delta(rng)).collect();
+            for req in [
+                Request::Apply(deltas.into()),
+                Request::Violations,
+                Request::Report,
+                Request::IsSatisfied,
+                Request::Metrics,
+                Request::Health,
+                Request::Shutdown,
+            ] {
+                let text = req.to_json().to_string();
+                let json = Json::parse(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                let back = Request::from_json(&json)
+                    .map_err(|e| TestCaseError::fail(format!("{e:?}: {text}")))?;
+                prop_assert_eq!(back, req);
+            }
+            Ok(())
+        });
     }
 }

@@ -1,7 +1,7 @@
 //! Newline-delimited JSON framing over any byte stream.
 //!
 //! One frame = one JSON document serialised to a single line (the writer
-//! in [`crate::json`] guarantees no raw newlines) followed by `\n`. The
+//! in `ged_obs::json` guarantees no raw newlines) followed by `\n`. The
 //! reader enforces a byte cap per frame so an oversized (or endless)
 //! line from a hostile client costs bounded memory and yields a
 //! structured [`WireError::Oversized`] instead of an allocation storm,
@@ -9,7 +9,7 @@
 //! frames) from a truncated frame (bytes without the terminating
 //! newline — the peer died mid-request).
 
-use crate::json::Json;
+use ged_obs::Json;
 use std::io::{self, BufRead, Write};
 
 /// Default per-frame byte cap. Large enough for a many-thousand-delta

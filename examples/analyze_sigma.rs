@@ -112,5 +112,5 @@ fn main() {
 
     // The analysis record travels with the validator; the JSON rendering
     // is stable for dashboards, like MetricsSnapshot.
-    println!("\n-- report as JSON --\n{}", deploy.report.to_json());
+    println!("\n-- report as JSON --\n{:#}", deploy.report.to_json());
 }

@@ -55,11 +55,12 @@ fn main() {
     let snapshot = v.metrics();
     println!("\n{snapshot}");
 
-    // The same snapshot serialises to JSON (vendored, no dependencies) —
-    // ship it to whatever collector you already have.
+    // The same snapshot is a JSON document (vendored, no dependencies) —
+    // ship it to whatever collector you already have: `{}` prints one
+    // line, `{:#}` the indented layout.
     let json = snapshot.to_json();
-    println!("snapshot JSON is {} bytes; head:", json.len());
-    for line in json.lines().take(8) {
+    println!("snapshot JSON is {} bytes; head:", json.to_string().len());
+    for line in format!("{json:#}").lines().take(8) {
         println!("  {line}");
     }
 

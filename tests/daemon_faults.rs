@@ -6,7 +6,7 @@
 //! witness set equals a clean from-scratch validate of a local mirror.
 
 use ged_daemon::{spawn, workload, DaemonConfig, DaemonHandle};
-use ged_proto::json::Json;
+use ged_obs::Json;
 use ged_proto::{code, Client, ClientError, Request, WireViolation};
 use ged_repro::prelude::*;
 use std::collections::BTreeSet;

@@ -905,7 +905,7 @@ fn metrics_histograms_grow_monotonically_across_batches() {
 /// Write an acceptance run's metrics snapshot next to the working dir so
 /// CI can upload it as an artifact alongside `BENCH_INC.json`.
 fn write_metrics_snapshot(v: &IncrementalValidator<impl Constraint>, file: &str) {
-    let json = v.metrics().to_json();
+    let json = format!("{:#}\n", v.metrics().to_json());
     if let Err(e) = std::fs::write(file, json) {
         eprintln!("could not write {file}: {e}");
     }
